@@ -17,31 +17,40 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"persistmem/internal/bench"
 )
 
+// figNames are the valid -fig values.
+var figNames = []string{"all", "1", "2", "c1", "c2", "c3", "a1", "a2", "a3", "a4"}
+
+// checkFig rejects an unknown -fig value, so a typo in a gate fails
+// instead of silently running nothing.
+func checkFig(fig string) error {
+	if !slices.Contains(figNames, fig) {
+		return fmt.Errorf("unknown -fig %q (want one of: %s)", fig, strings.Join(figNames, ", "))
+	}
+	return nil
+}
+
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "which experiment: all, 1, 2, c1, c2, c3, a1, a2, a3, a4, or 1cell (one Figure-1 point, CSV only)")
+		fig      = flag.String("fig", "all", "which experiment: "+strings.Join(figNames, ", "))
 		scale    = flag.String("scale", "quick", "run scale: full (paper, 32000 records/driver), quick, smoke")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		csv      = flag.Bool("csv", false, "emit CSV instead of tables (figures 1 and 2)")
 		check    = flag.Bool("check", false, "run shape checks and exit non-zero on failure")
 		breakdn  = flag.Bool("breakdown", false, "emit the commit-latency decomposition (per-phase p50/p99 per durability config)")
 		parallel = flag.Int("parallel", 0, "sweep cells simulated concurrently (0 = one per CPU, 1 = sequential); output is identical at any setting")
-		engine   = flag.String("engine", "sequential", "cell execution engine: sequential (pool workers) or parallel (conservative LP cluster); output is identical on either")
-		nodeLPs  = flag.Int("node-lps", 0, "partition every cell's node topology across this many LP workers (intra-run parallelism); output is identical at 1, 2 and 4 but differs from the 0 (single-engine) build")
-		cellDrv  = flag.Int("cell-drivers", 2, "driver count for -fig 1cell")
-		cellIns  = flag.Int("cell-inserts", 32, "inserts per transaction for -fig 1cell (8=32k, 16=64k, 32=128k)")
 	)
 	flag.Parse()
-	eng, err := bench.ParseEngine(*engine)
-	if err != nil {
+	if err := checkFig(*fig); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	runner := bench.Runner{Parallelism: *parallel, Engine: eng, NodeLPs: *nodeLPs}
+	runner := bench.Runner{Parallelism: *parallel}
 
 	var sc bench.Scale
 	switch *scale {
@@ -79,14 +88,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%d shape check(s) failed\n", failures)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *fig == "1cell" {
-		// One Figure-1 point in isolation — the unit the intra-run
-		// partitioning gates cmp across -node-lps settings. Always CSV:
-		// the output exists to be byte-compared.
-		fmt.Print(runner.Figure1Cell(*seed, sc, *cellDrv, *cellIns).CSV())
 		return
 	}
 

@@ -6,10 +6,8 @@
 // events/sec for a Schedule+dispatch cycle), the transaction data plane's
 // allocation behavior (allocs/txn overall and per subsystem, measured
 // with an exact memory profile over a steady-state hot-stock run), a
-// hot-stock run's event throughput, the wall-clock time of the Figure 1 +
-// Figure 2 sweeps at the chosen scale and parallelism, and the parallel
-// LP engine on a linked message workload (window count, average LP
-// occupancy, and speedup against its own sequential reference).
+// hot-stock run's event throughput, and the wall-clock time of the
+// Figure 1 + Figure 2 sweeps at the chosen scale and parallelism.
 //
 // Usage:
 //
@@ -18,10 +16,9 @@
 //	simbench -compare BENCH_kernel.json
 //
 // The -compare mode re-measures the machine-independent-ish gate metrics
-// (kernel ns/event and allocs/event, data-plane allocs/txn and bytes/txn,
-// plus the parallel engine's wall time against its own sequential
-// reference) and exits non-zero if any regressed more than 20% against
-// the baseline file. Allocation counts are deterministic; ns/event is wall-clock and
+// (kernel ns/event and allocs/event, data-plane allocs/txn and bytes/txn)
+// and exits non-zero if any regressed more than 20% against the baseline
+// file. Allocation counts are deterministic; ns/event is wall-clock and
 // the 20% margin absorbs benchmark jitter, but comparing a baseline
 // recorded on a very different machine can still misfire — regenerate the
 // baseline where the gate runs.
@@ -40,9 +37,7 @@ import (
 	"persistmem/internal/bench"
 	"persistmem/internal/hotstock"
 	"persistmem/internal/ods"
-	"persistmem/internal/servernet"
 	"persistmem/internal/sim"
-	"persistmem/internal/sim/parallel"
 )
 
 // report is the JSON document simbench writes.
@@ -74,51 +69,6 @@ type report struct {
 		Figure2WallS float64 `json:"figure2_wall_s"`
 		TotalWallS   float64 `json:"total_wall_s"`
 	} `json:"sweep"`
-
-	// Parallel measures the conservative LP cluster on a linked message
-	// workload: the same cluster run with no concurrency and with one
-	// worker per CPU.
-	Parallel parallelStats `json:"parallel"`
-
-	// Partitioned measures intra-run LP partitioning: one smoke hot-stock
-	// cell built as a single partitioned simulation and drained at 1, 2
-	// and 4 node-LPs.
-	Partitioned partitionedStats `json:"partitioned"`
-}
-
-// parallelStats records one sequential-vs-parallel cluster comparison.
-type parallelStats struct {
-	Workers int `json:"workers"`
-	// Windows and AvgLPOccupancy describe the safe-window protocol's
-	// behavior on the workload: how many barrier rounds the run took and
-	// how many LPs executed at least one event per round.
-	Windows        uint64  `json:"windows"`
-	AvgLPOccupancy float64 `json:"avg_lp_occupancy"`
-	Messages       uint64  `json:"messages"`
-	// Wall times are the min of three runs each; Speedup is
-	// sequential/parallel (< 1 means the cluster machinery slowed the
-	// run down — the -compare gate fails below 1/1.2).
-	SequentialWallS float64 `json:"sequential_wall_s"`
-	ParallelWallS   float64 `json:"parallel_wall_s"`
-	Speedup         float64 `json:"speedup"`
-}
-
-// partitionedStats records the intra-run partitioned engine's cost per
-// node-LP count on one identical smoke hot-stock cell. Events are
-// P-invariant (the same closures dispatch at every partition count), so
-// ns/event isolates the per-event overhead of the safe-window machinery;
-// speedup is wall-clock at 1 LP over wall-clock at N LPs.
-type partitionedStats struct {
-	Cells []partitionedCell `json:"cells"`
-}
-
-type partitionedCell struct {
-	NodeLPs    int     `json:"node_lps"`
-	Events     uint64  `json:"events"`
-	Windows    uint64  `json:"windows"`
-	WallS      float64 `json:"wall_s"`
-	NsPerEvent float64 `json:"ns_per_event"`
-	SpeedupVs1 float64 `json:"speedup_vs_1lp"`
 }
 
 type kernelStats struct {
@@ -172,8 +122,6 @@ func main() {
 	rep.Timestamp = time.Now().UTC().Format(time.RFC3339)
 	rep.Kernel = measureKernel()
 	rep.Txn = measureTxn(*seed)
-	rep.Parallel = measureParallel(*seed)
-	rep.Partitioned = measurePartitioned(*seed)
 
 	// Full-stack event throughput: one smoke hot-stock run, disk mode.
 	opts := ods.DefaultOptions()
@@ -216,140 +164,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s: kernel %.1f ns/event (%.0f allocs), %.1f allocs/txn, %s sweep %.2fs at parallel=%d, LP cluster %.2fx at %d workers (%d windows, %.1f LPs/window)\n",
+	fmt.Printf("wrote %s: kernel %.1f ns/event (%.0f allocs), %.1f allocs/txn, %s sweep %.2fs at parallel=%d\n",
 		*out, rep.Kernel.NsPerEvent, rep.Kernel.AllocsPerEvent, rep.Txn.AllocsPerTxn,
-		sc.Name, rep.Sweep.TotalWallS, rep.Sweep.Parallelism,
-		rep.Parallel.Speedup, rep.Parallel.Workers, rep.Parallel.Windows, rep.Parallel.AvgLPOccupancy)
-	for _, c := range rep.Partitioned.Cells {
-		fmt.Printf("  partitioned %d-LP cell: %.1f ns/event, %d windows, %.2fx vs 1 LP\n",
-			c.NodeLPs, c.NsPerEvent, c.Windows, c.SpeedupVs1)
-	}
-}
-
-// buildLinkedCluster wires nLPs engines into a messaging mesh with
-// ServerNet's minimum fabric latency as the lookahead: each LP runs
-// several processes that think for random spells and fire 3-hop message
-// chains at random peers. The workload is deterministic for a seed, so
-// the sequential and parallel runs must agree on every statistic.
-func buildLinkedCluster(seed int64) *parallel.Cluster {
-	look := servernet.DefaultConfig().MinLatency()
-	const nLPs, procs, iters = 8, 3, 500
-	c := parallel.New(look)
-	for i := 0; i < nLPs; i++ {
-		eng := sim.NewEngine(seed + int64(i)*101)
-		var lp *parallel.LP
-		lp = c.AddLP(eng, func(e *sim.Engine, m parallel.Message) {
-			if hops := m.Val.(int); hops > 0 {
-				lp.Send((m.Src+1)%nLPs, look, hops-1)
-			}
-		})
-		for p := 0; p < procs; p++ {
-			p := p
-			eng.Spawn(fmt.Sprintf("gen%d", p), func(pr *sim.Proc) {
-				r := pr.Engine().DeriveRand(fmt.Sprintf("gen/%d", p))
-				for it := 0; it < iters; it++ {
-					pr.Wait(sim.Time(r.Intn(50)) * sim.Microsecond)
-					if r.Intn(3) == 0 {
-						lp.Send(r.Intn(nLPs), look+sim.Time(r.Intn(3))*look/2, 3)
-					}
-				}
-			})
-		}
-	}
-	return c
-}
-
-// measureParallel compares the LP cluster's sequential reference against
-// the multi-worker run on the linked workload, checking on the way that
-// the two executed the same schedule.
-func measureParallel(seed int64) parallelStats {
-	const reps = 3
-	var seqWall, parWall float64
-	var seqStats, parStats parallel.Stats
-	workers := bench.EffectiveParallelism(0)
-	for rep := 0; rep < reps; rep++ {
-		c := buildLinkedCluster(seed)
-		t0 := time.Now()
-		ss := c.RunSequential()
-		if w := time.Since(t0).Seconds(); rep == 0 || w < seqWall {
-			seqWall = w
-		}
-		c = buildLinkedCluster(seed)
-		t1 := time.Now()
-		ps := c.Run(workers)
-		if w := time.Since(t1).Seconds(); rep == 0 || w < parWall {
-			parWall = w
-		}
-		seqStats, parStats = ss, ps
-	}
-	if parStats.Windows != seqStats.Windows || parStats.Events != seqStats.Events ||
-		parStats.Messages != seqStats.Messages {
-		fmt.Fprintf(os.Stderr, "simbench: parallel engine diverged from its sequential reference: %+v vs %+v\n",
-			parStats, seqStats)
-		os.Exit(1)
-	}
-	out := parallelStats{
-		Workers:         parStats.Workers,
-		Windows:         parStats.Windows,
-		AvgLPOccupancy:  parStats.AvgOccupancy(),
-		Messages:        parStats.Messages,
-		SequentialWallS: seqWall,
-		ParallelWallS:   parWall,
-	}
-	if parWall > 0 {
-		out.Speedup = seqWall / parWall
-	}
-	return out
-}
-
-// measurePartitioned drains one identical smoke hot-stock cell built as a
-// partitioned simulation at 1, 2 and 4 node-LPs, best wall of three runs
-// each. The event counts must agree across partition counts — the
-// partitioned engine's determinism contract — and the measurement exits
-// the process if they do not, so a perf baseline is never recorded over a
-// broken schedule.
-func measurePartitioned(seed int64) partitionedStats {
-	const reps = 3
-	params := hotstock.Params{
-		Drivers: 1, RecordsPerDriver: bench.Smoke.RecordsPerDriver,
-		InsertsPerTxn: 8, RecordBytes: 4096,
-	}
-	var ps partitionedStats
-	for _, lps := range []int{1, 2, 4} {
-		cell := partitionedCell{NodeLPs: lps}
-		for rep := 0; rep < reps; rep++ {
-			opts := ods.DefaultOptions()
-			opts.Seed = seed
-			opts.NodeLPs = lps
-			s := ods.Build(opts)
-			pend := hotstock.Start(s, params)
-			t0 := time.Now()
-			stats := s.Part.Run(lps)
-			w := time.Since(t0).Seconds()
-			res := pend.Collect()
-			s.Shutdown()
-			if rep == 0 || w < cell.WallS {
-				cell.WallS = w
-			}
-			cell.Events = res.Events
-			cell.Windows = stats.Windows
-		}
-		if cell.WallS > 0 {
-			cell.NsPerEvent = cell.WallS * 1e9 / float64(cell.Events)
-		}
-		if len(ps.Cells) > 0 {
-			if ref := ps.Cells[0]; cell.Events != ref.Events {
-				fmt.Fprintf(os.Stderr, "simbench: partitioned engine diverged: %d events at %d LPs vs %d at %d\n",
-					cell.Events, cell.NodeLPs, ref.Events, ref.NodeLPs)
-				os.Exit(1)
-			}
-			cell.SpeedupVs1 = ps.Cells[0].WallS / cell.WallS
-		} else {
-			cell.SpeedupVs1 = 1
-		}
-		ps.Cells = append(ps.Cells, cell)
-	}
-	return ps
+		sc.Name, rep.Sweep.TotalWallS, rep.Sweep.Parallelism)
 }
 
 // measureKernel times the bare Schedule+dispatch cycle — the same loop as
@@ -493,16 +310,10 @@ func runCompare(path string, seed int64) int {
 
 	kernel := measureKernel()
 	txn := measureTxn(seed)
-	par := measureParallel(seed)
-	part := measurePartitioned(seed)
 
 	metrics := []gateMetric{
 		{"kernel.ns_per_event", base.Kernel.NsPerEvent, kernel.NsPerEvent, 0},
 		{"kernel.allocs_per_event", base.Kernel.AllocsPerEvent, kernel.AllocsPerEvent, 0.5},
-		// The parallel-engine gate is self-contained: both sides are
-		// measured now, so it fails exactly when the LP cluster runs >20%
-		// slower than its own sequential reference on this machine.
-		{"parallel.wall_ms_vs_seq", par.SequentialWallS * 1e3, par.ParallelWallS * 1e3, 5},
 	}
 	if base.Txn.Txns > 0 {
 		metrics = append(metrics,
@@ -511,30 +322,6 @@ func runCompare(path string, seed int64) int {
 		)
 	} else {
 		fmt.Printf("note: %s has no txn section; skipping data-plane gates\n", path)
-	}
-	if len(base.Partitioned.Cells) > 0 {
-		// Gate the partitioned engine's per-event cost at each LP count.
-		// Speedup-vs-1LP is reported but not gated: whether extra workers
-		// pay off depends on the host's CPU count, and on a saturated or
-		// single-CPU machine the barrier overhead legitimately wins.
-		baseBy := make(map[int]partitionedCell, len(base.Partitioned.Cells))
-		for _, c := range base.Partitioned.Cells {
-			baseBy[c.NodeLPs] = c
-		}
-		for _, c := range part.Cells {
-			b, ok := baseBy[c.NodeLPs]
-			if !ok {
-				continue
-			}
-			metrics = append(metrics, gateMetric{
-				fmt.Sprintf("partitioned.%dlp_ns_per_event", c.NodeLPs),
-				b.NsPerEvent, c.NsPerEvent, 50,
-			})
-			fmt.Printf("note: partitioned %d-LP speedup vs 1 LP: %.2fx (base %.2fx, not gated)\n",
-				c.NodeLPs, c.SpeedupVs1, b.SpeedupVs1)
-		}
-	} else {
-		fmt.Printf("note: %s has no partitioned section; skipping intra-run partitioning gates\n", path)
 	}
 
 	failed := 0

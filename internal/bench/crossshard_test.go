@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"persistmem/internal/ods"
@@ -9,7 +8,7 @@ import (
 )
 
 // crossShardDetScale is a short arrival window: determinism with a
-// two-phase mix needs the same grid on every engine, not the smoke
+// two-phase mix needs the same grid at every parallelism, not the smoke
 // scale's statistics.
 var crossShardDetScale = SatScale{Name: "det", Window: 150 * sim.Millisecond}
 
@@ -38,9 +37,9 @@ func withDetAxes(t *testing.T) {
 
 // TestCrossShardEngineDifferential: the saturation sweep with a 50%
 // cross-shard two-phase mix in every standard cell prints byte-identical
-// CSV at parallelism 1 and 8 and on the conservative parallel LP engine —
-// the same contract the committed saturation_full.csv rides on, extended
-// to the outcome-record protocol path.
+// CSV at parallelism 1 and 8 — the same contract the committed
+// saturation_full.csv rides on, extended to the outcome-record protocol
+// path.
 func TestCrossShardEngineDifferential(t *testing.T) {
 	withDetAxes(t)
 	ref := Runner{Parallelism: 1, CrossShardPct: 50}.Saturation(1, crossShardDetScale)
@@ -54,30 +53,7 @@ func TestCrossShardEngineDifferential(t *testing.T) {
 	if crossed == 0 {
 		t.Fatal("50% mix produced no two-phase commits in the knee sweep — the differential is vacuous")
 	}
-	for _, r := range []Runner{
-		{Parallelism: 8, CrossShardPct: 50},
-		{Engine: EngineParallel, Parallelism: 8, CrossShardPct: 50},
-	} {
-		if got := r.Saturation(1, crossShardDetScale).CSV(); got != refCSV {
-			t.Errorf("runner %+v diverged from the sequential cross-shard reference", r)
-		}
-	}
-}
-
-// TestCrossShardPartitionInvariance: the same 50%-mix sweep with every
-// store built as one partitioned simulation prints byte-identical CSV at
-// 1, 2 and 4 node-LPs — the two-phase coordinator and its phase hooks
-// must not observe the LP worker count.
-func TestCrossShardPartitionInvariance(t *testing.T) {
-	withDetAxes(t)
-	ref := Runner{Parallelism: 1, NodeLPs: 1, CrossShardPct: 50}.Saturation(1, crossShardDetScale).CSV()
-	if !strings.Contains(ref, "\n") {
-		t.Fatalf("reference CSV has no rows:\n%s", ref)
-	}
-	for _, lps := range []int{2, 4} {
-		got := Runner{Parallelism: lps, NodeLPs: lps, CrossShardPct: 50}.Saturation(1, crossShardDetScale).CSV()
-		if got != ref {
-			t.Errorf("%d-LP cross-shard CSV diverged from 1-LP", lps)
-		}
+	if got := (Runner{Parallelism: 8, CrossShardPct: 50}).Saturation(1, crossShardDetScale).CSV(); got != refCSV {
+		t.Error("parallelism 8 diverged from the sequential cross-shard reference")
 	}
 }

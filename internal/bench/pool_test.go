@@ -54,32 +54,6 @@ func TestRunnerWorkers(t *testing.T) {
 	}
 }
 
-// TestRunnerWorkersSlotWeighted pins the partitioned-cell accounting: a
-// cell that occupies NodeLPs safe-window workers for its whole run is
-// charged NodeLPs slots against the Runner's parallelism budget, so the
-// pool never oversubscribes the machine with cells × LPs OS threads.
-func TestRunnerWorkersSlotWeighted(t *testing.T) {
-	cases := []struct {
-		par, lps, jobs, want int
-	}{
-		{8, 4, 100, 2},  // 8 slots / 4-LP cells → 2 concurrent cells
-		{8, 2, 100, 4},  // 8 / 2 → 4
-		{4, 4, 100, 1},  // exactly one cell fits
-		{2, 4, 100, 1},  // budget smaller than one cell still runs it
-		{8, 4, 1, 1},    // clamped by job count
-		{8, 1, 100, 8},  // NodeLPs=1 charges a single slot
-		{8, 0, 100, 8},  // unpartitioned unchanged
-		{16, 4, 3, 3},   // slot-adjusted then clamped by jobs
-	}
-	for _, c := range cases {
-		r := Runner{Parallelism: c.par, NodeLPs: c.lps}
-		if got := r.workers(c.jobs); got != c.want {
-			t.Errorf("Parallelism=%d NodeLPs=%d jobs=%d: workers = %d, want %d",
-				c.par, c.lps, c.jobs, got, c.want)
-		}
-	}
-}
-
 // TestParallelSweepsDeterministic is the harness's core guarantee: the
 // figures computed with the sequential path (Parallelism=1) and with a
 // worker pool (Parallelism=8) render byte-identical tables and CSVs,

@@ -10,11 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	// regmu only: the service registry is read from concurrent LP workers
-	// in partitioned mode; writes happen at build time or under window
-	// barriers. The lock makes that contract checkable by the race
-	// detector instead of ordering the schedule.
-	"sync" //simlint:allow goroutine -- cross-LP registry reads, see above
 
 	"persistmem/internal/servernet"
 	"persistmem/internal/sim"
@@ -60,43 +55,31 @@ func DefaultConfig() Config {
 
 // Cluster is one simulated NonStop node.
 type Cluster struct {
-	eng  *sim.Engine // node-0 engine in partitioned mode
+	eng  *sim.Engine
 	fab  *servernet.Fabric
 	cfg  Config
 	cpus []*CPU
 
-	// part is the LP-partition runtime when the cluster's node topology is
-	// split across engines (NewPartitioned); nil for the classic
-	// single-engine cluster.
-	part *Partition
-
 	// registry maps service names to their current location; takeover
 	// re-points a name at the backup, which is how the simulation models
-	// NSK's message re-routing. regmu guards it: in partitioned mode
-	// several engines look names up concurrently inside a safe window
-	// (single-engine access is uncontended and takes the same lock for
-	// uniformity).
-	regmu    sync.RWMutex
+	// NSK's message re-routing.
 	registry map[string]*registration
 
 	nextDevEP servernet.EndpointID
 }
 
-// boxPool recycles message-plumbing boxes for the CPUs sharing one
-// engine: pointers travel through inbox interfaces without allocating,
-// and the single consumer of each box returns it after copying the
-// contents out. Exactly one engine ever touches a given pool — the whole
-// cluster's in single-engine mode, one LP's node group in partitioned
-// mode — so plain slices work. A box crossing the LP seam migrates to
-// the consumer's pool (the window barrier orders the hand-off) and the
-// producer re-allocates, so cross-LP traffic costs one allocation per
-// message while same-engine traffic stays allocation-free.
+// boxPool recycles message-plumbing boxes for all of a cluster's CPUs:
+// pointers travel through inbox interfaces without allocating, and the
+// single consumer of each box returns it after copying the contents out.
+// One engine touches the pool, so plain slices work. The pool is
+// cluster-wide on purpose: a box sent by one CPU is freed by another, so
+// per-CPU pools would make every cross-CPU message allocate.
 type boxPool struct {
 	envfree   []*Envelope    //simlint:box -- message-envelope pool
 	framefree []*routedFrame //simlint:box -- routed-frame pool
 }
 
-// newEnvelope takes an Envelope box from the CPU's pool domain.
+// newEnvelope takes an Envelope box from the cluster's pool.
 //
 //simlint:hotpath
 func (c *CPU) newEnvelope() *Envelope {
@@ -176,41 +159,11 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 	return cl
 }
 
-// Engine returns the simulation engine (node 0's engine when the cluster
-// is partitioned; code running on other nodes must use CPU.Engine or
-// Process.Engine).
+// Engine returns the simulation engine.
 func (cl *Cluster) Engine() *sim.Engine { return cl.eng }
 
-// Fabric returns the ServerNet fabric (node 0's fabric when the cluster
-// is partitioned; node-local code must use CPU.Fabric).
+// Fabric returns the ServerNet fabric.
 func (cl *Cluster) Fabric() *servernet.Fabric { return cl.fab }
-
-// Partitioned reports whether the node topology is split across LPs.
-func (cl *Cluster) Partitioned() bool { return cl.part != nil }
-
-// Part returns the partition runtime, or nil for a single-engine cluster.
-func (cl *Cluster) Part() *Partition { return cl.part }
-
-// EngineFor returns the engine owning node n (the shared engine when not
-// partitioned).
-func (cl *Cluster) EngineFor(n int) *sim.Engine {
-	if cl.part != nil {
-		return cl.part.EngineFor(n)
-	}
-	return cl.eng
-}
-
-// RunOn executes fn on node's engine, synchronously from p's point of
-// view: inline when the cluster is not partitioned or the node is p's
-// own, otherwise through the partition's remote-execution seam at one
-// lookahead each way.
-func (cl *Cluster) RunOn(p *Process, node int, fn func()) {
-	if cl.part == nil || p.cpu.index == node {
-		fn()
-		return
-	}
-	cl.part.Exec(p, node, fn)
-}
 
 // Config returns the cluster configuration.
 func (cl *Cluster) Config() Config { return cl.cfg }
@@ -235,53 +188,29 @@ func (cl *Cluster) AllUp() bool {
 
 // AttachDevice adds an I/O device endpoint (NPMU, adapter) to the fabric.
 // Devices are not tied to any CPU: per the paper, they keep functioning
-// when their controlling processor fails. In a partitioned cluster the
-// device is placed round-robin — device k on node k mod CPUs — a fixed
-// topology rule independent of the partition count.
+// when their controlling processor fails.
 func (cl *Cluster) AttachDevice(name string) *servernet.Endpoint {
-	devIdx := int(cl.nextDevEP) - 1000 - cl.cfg.CPUs
-	return cl.AttachDeviceOn(name, devIdx%cl.cfg.CPUs)
-}
-
-// AttachDeviceOn adds a device endpoint placed on the given node — in a
-// partitioned cluster the device is served by that node's engine and
-// fabric (co-locating a volume's devices with its primary CPU keeps their
-// hottest traffic off the cross-LP seam). On a single-engine cluster the
-// placement is only bookkeeping and the behavior matches AttachDevice.
-func (cl *Cluster) AttachDeviceOn(name string, node int) *servernet.Endpoint {
 	id := cl.nextDevEP
 	cl.nextDevEP++
-	fab := cl.fab
-	if cl.part != nil {
-		node %= cl.cfg.CPUs
-		fab = cl.part.fabs[node]
-		cl.part.owner[id] = node
-	}
-	return fab.Attach(id, name)
+	return cl.fab.Attach(id, name)
 }
 
 // Register binds name to a process's inbox, making it reachable via Send
 // and Call. Re-registering a name moves it (takeover re-routing).
 func (cl *Cluster) Register(name string, proc *Process) {
-	cl.regmu.Lock()
 	cl.registry[name] = &registration{cpu: proc.cpu, inbox: proc.Inbox}
-	cl.regmu.Unlock()
 }
 
 // Unregister removes a name binding.
 func (cl *Cluster) Unregister(name string) {
-	cl.regmu.Lock()
 	delete(cl.registry, name)
-	cl.regmu.Unlock()
 }
 
-// lookup resolves a name under the registry lock.
+// lookup resolves a name in the registry.
 //
 //simlint:hotpath
 func (cl *Cluster) lookup(name string) (*registration, bool) {
-	cl.regmu.RLock()
 	r, ok := cl.registry[name]
-	cl.regmu.RUnlock()
 	return r, ok
 }
 
@@ -309,18 +238,15 @@ func (cl *Cluster) PowerFail() {
 // RestorePower brings all CPUs back up (empty, as after a reboot).
 // Registered names are gone; recovery code must restart services.
 func (cl *Cluster) RestorePower() {
-	cl.regmu.Lock()
 	cl.registry = make(map[string]*registration)
-	cl.regmu.Unlock()
 	for _, c := range cl.cpus {
 		c.Restore()
 	}
 }
 
 // CPU is one processor of the node. A CPU executes processes, which share
-// its single execution resource, and owns a fabric endpoint. In a
-// partitioned cluster each CPU is a simulated node with its own engine
-// and fabric; on a single-engine cluster eng and fab alias the cluster's.
+// its single execution resource, and owns a fabric endpoint. eng and fab
+// alias the cluster's.
 type CPU struct {
 	cl    *Cluster
 	index int
@@ -331,8 +257,7 @@ type CPU struct {
 	up    bool
 	procs map[*Process]struct{}
 
-	// pool is the CPU's box-recycling domain, shared with every other CPU
-	// on the same engine (see boxPool).
+	// pool is the cluster-wide box pool (see boxPool).
 	pool *boxPool
 
 	// Stats
@@ -345,8 +270,7 @@ func (c *CPU) Index() int { return c.index }
 // Engine returns the engine this CPU's processes run on.
 func (c *CPU) Engine() *sim.Engine { return c.eng }
 
-// Fabric returns the fabric this CPU's endpoint is attached to — the
-// node's own fabric in a partitioned cluster.
+// Fabric returns the fabric this CPU's endpoint is attached to.
 func (c *CPU) Fabric() *servernet.Fabric { return c.fab }
 
 // Endpoint returns the CPU's fabric endpoint.
@@ -361,9 +285,6 @@ func (c *CPU) Up() bool { return c.up }
 // enqueues a wake-up, so the kill sequence is schedule-visible and must
 // not depend on map iteration order.
 func (c *CPU) Fail() {
-	if c.cl.part != nil {
-		panic("cluster: CPU fail/restore is not supported in partitioned mode")
-	}
 	if !c.up {
 		return
 	}
@@ -378,14 +299,12 @@ func (c *CPU) Fail() {
 	for _, p := range victims {
 		p.proc.Kill()
 	}
-	c.cl.regmu.Lock()
 	//simlint:ordered -- pure deletes; no effect depends on visit order
 	for name, r := range c.cl.registry {
 		if r.cpu == c {
 			delete(c.cl.registry, name)
 		}
 	}
-	c.cl.regmu.Unlock()
 }
 
 // Restore restarts a failed CPU with no processes (beyond a fresh message

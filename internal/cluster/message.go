@@ -17,30 +17,16 @@ type Envelope struct {
 	// Payload is the message body. Size accounting happened on the wire;
 	// the simulation passes the value itself.
 	Payload interface{}
-	// reply, if non-nil, receives the reply for Call-style requests. In a
-	// partitioned cluster the signal belongs to the sender's engine; home
-	// and at record the sender's and receiver's node indices so Reply can
-	// route the trigger back across the node seam.
+	// reply, if non-nil, receives the reply for Call-style requests.
 	reply *sim.Signal
-	home  int
-	at    int
-	part  *Partition
 }
 
 // Reply answers a Call with value v; for one-way sends it is a no-op.
-// Replying twice to the same envelope panics (a server bug). When the
-// caller lives on a foreign node of a partitioned cluster, the trigger is
-// posted home through the LP seam one lookahead out — replies pay the
-// same conservative floor as requests (the single-engine reply channel
-// stays instantaneous, as before).
+// Replying twice to the same envelope panics (a server bug).
 //
 //simlint:hotpath
 func (ev *Envelope) Reply(v interface{}) {
 	if ev.reply == nil {
-		return
-	}
-	if ev.part != nil && ev.at != ev.home {
-		ev.part.postReply(ev.at, ev.home, ev.reply, v)
 		return
 	}
 	ev.reply.Trigger(v)
@@ -69,9 +55,6 @@ func (p *Process) send(name string, sz int, payload interface{}, reply *sim.Sign
 	ev.From = p.name
 	ev.Payload = payload
 	ev.reply = reply
-	ev.home = p.cpu.index
-	ev.at = r.cpu.index
-	ev.part = cl.part
 	if r.cpu == p.cpu {
 		// Intra-CPU message: no fabric traversal.
 		r.inbox.Send(p.proc, ev) //simlint:allow hotalloc -- *Envelope into interface{} is pointer-shaped: no box is allocated
@@ -184,9 +167,8 @@ func (p *Process) TryRecv() (Envelope, bool) {
 // startDispatcher runs the CPU's message-system delivery loop: it moves
 // fabric frames arriving at the CPU endpoint into destination process
 // inboxes. Each live CPU runs exactly one dispatcher; CPU.Restore starts
-// a fresh one. Message and frame boxes are recycled into this CPU's own
-// fabric and pools — in a partitioned cluster the box was allocated on
-// the sending node and migrates here, which the window barrier orders.
+// a fresh one. Message and frame boxes go back to the fabric's and the
+// cluster's pools.
 func (c *CPU) startDispatcher() {
 	c.Spawn(fmt.Sprintf("cpu%d-msgsys", c.index), func(p *Process) {
 		for {

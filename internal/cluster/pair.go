@@ -161,10 +161,7 @@ func (pr *Pair) checkpoint(ctx *PairCtx, sz int, state interface{}) error {
 // runs unprotected and the checkpoint is a successful no-op, matching NSK
 // behavior; callers can observe the protection level via Protected.
 func (pr *Pair) CheckpointFrom(p *Process, sz int, delta interface{}) error {
-	// In partitioned mode the backup lives on another engine, so its
-	// liveness cannot be sampled here; takeover is unsupported there, so a
-	// non-nil backup is always live and the Call below is always correct.
-	if pr.backup == nil || (pr.cl.part == nil && pr.backup.Done()) {
+	if pr.backup == nil || pr.backup.Done() {
 		// Keep the shadow state current for a later Rebackup.
 		pr.state = pr.absorb(pr.state, delta)
 		return nil
@@ -177,10 +174,7 @@ func (pr *Pair) CheckpointFrom(p *Process, sz int, delta interface{}) error {
 	return nil
 }
 
-// scheduleTakeover promotes the backup after the detection delay. Only
-// reachable on the single-engine cluster: partitioned mode has no CPU
-// failures, so a primary only exits via Stop/normal completion, which
-// disarm this path.
+// scheduleTakeover promotes the backup after the detection delay.
 func (pr *Pair) scheduleTakeover() {
 	eng := pr.cl.CPU(pr.primCPU).eng
 	eng.After(pr.cl.cfg.TakeoverDelay, func() {

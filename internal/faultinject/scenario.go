@@ -76,30 +76,6 @@ type Result struct {
 // nil Commit promotes keys to Committed (the session aborts internally
 // on any insert error, so a nil Commit proves all inserts landed).
 func Run(cfg ScenarioConfig) *Result {
-	pd := Start(cfg)
-	pd.Engine().Run()
-	return pd.Result()
-}
-
-// Pending is a scenario whose processes are spawned but whose engine has
-// not been driven yet. It lets a caller batch many independent scenarios
-// as logical processes of one parallel cluster run before collecting
-// results: drain the engine (Engine().Run, or a cluster run), then call
-// Result.
-type Pending struct {
-	res *Result
-}
-
-// Engine returns the scenario's engine, to be driven to completion.
-func (pd *Pending) Engine() *sim.Engine { return pd.res.Store.Eng }
-
-// Result returns the scenario outcome. Valid only after the engine has
-// drained (the crash has happened).
-func (pd *Pending) Result() *Result { return pd.res }
-
-// Start builds the scenario and spawns its workload and crasher
-// processes without running the engine.
-func Start(cfg ScenarioConfig) *Pending {
 	opts := ods.DefaultOptions()
 	opts.Seed = cfg.Seed
 	opts.Durability = cfg.Durability
@@ -194,7 +170,8 @@ func Start(cfg ScenarioConfig) *Pending {
 			}
 		}
 	})
-	return &Pending{res: res}
+	s.Eng.Run()
+	return res
 }
 
 // Recover repairs, reboots and runs the durability mode's recovery

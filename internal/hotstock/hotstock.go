@@ -113,30 +113,9 @@ func Run(opts ods.Options, params Params) Result {
 }
 
 // RunOn executes the benchmark against an existing store (which must be
-// otherwise idle). Partitioned stores drain under the safe-window
-// scheduler; pass a worker count to ods.Store.Run directly for an
-// intra-run parallel drain (byte-identical result).
+// otherwise idle): it spawns one driver process per hot stock, drains
+// the store's engine, and collects the drivers' results.
 func RunOn(s *ods.Store, params Params) Result {
-	pend := Start(s, params)
-	s.Run(1)
-	return pend.Collect()
-}
-
-// Pending is a benchmark whose driver processes have been spawned but
-// whose engine has not been driven yet. It lets a caller interleave the
-// run with other work on the same engine — or hand the engine to the
-// parallel LP scheduler — before collecting results.
-type Pending struct {
-	s       *ods.Store
-	params  Params
-	results []DriverResult
-	doneAt  []sim.Time
-}
-
-// Start spawns the benchmark's driver processes on s without running the
-// engine. Drive the engine to completion (s.Eng.Run, or a parallel
-// cluster run), then call Collect.
-func Start(s *ods.Store, params Params) *Pending {
 	files := make([]string, len(s.Opts.Files))
 	for i, f := range s.Opts.Files {
 		files[i] = f.Name
@@ -191,15 +170,11 @@ func Start(s *ods.Store, params Params) *Pending {
 		})
 	}
 
-	return &Pending{s: s, params: params, results: results, doneAt: doneAt}
-}
+	s.Run(1)
 
-// Collect assembles the result after the engine has been drained.
-func (pd *Pending) Collect() Result {
-	s := pd.s
-	r := Result{Params: pd.params, Durability: s.Opts.Durability, Drivers: pd.results,
+	r := Result{Params: params, Durability: s.Opts.Durability, Drivers: results,
 		Events: s.EventsExecuted()}
-	for _, t := range pd.doneAt {
+	for _, t := range doneAt {
 		if t > r.Elapsed {
 			r.Elapsed = t
 		}

@@ -141,3 +141,12 @@ func TestResponseTimesMillisecondScaleOnDisk(t *testing.T) {
 		t.Errorf("disk response time %v implausibly slow", r.MeanResp())
 	}
 }
+
+// TestZeroResult: an empty result reports zero response time and
+// throughput rather than dividing by zero.
+func TestZeroResult(t *testing.T) {
+	var r Result
+	if r.MeanResp() != 0 || r.Throughput() != 0 {
+		t.Errorf("zero result: mean %v, throughput %v", r.MeanResp(), r.Throughput())
+	}
+}

@@ -203,7 +203,7 @@ const openCrossBase = uint64(1) << 40
 
 // arrival is one generated transaction request, carried from the
 // generator through a shard's admission queue to a worker. Records are
-// recycled through OpenPending.free once the worker retires them.
+// recycled through openRun.free once the worker retires them.
 type arrival struct {
 	at     sim.Time
 	client uint64
@@ -223,11 +223,9 @@ type openShard struct {
 	crossSeq uint64
 }
 
-// OpenPending is an open-loop run whose processes have been spawned but
-// whose engine has not been driven yet — the spawn/collect split that
-// lets the parallel LP cluster drain engines the harness did not build
-// itself (the same pattern as hotstock.Start).
-type OpenPending struct {
+// openRun is the state of one open-loop run: the generator and workers
+// spawned by startOpen fill it in while RunOpen drains the engine.
+type openRun struct {
 	s      *ods.Store
 	cfg    OpenConfig
 	res    OpenResult
@@ -240,7 +238,7 @@ type OpenPending struct {
 }
 
 //simlint:hotpath
-func (op *OpenPending) newArrival() *arrival {
+func (op *openRun) newArrival() *arrival {
 	if n := len(op.free); n > 0 {
 		a := op.free[n-1]
 		op.free = op.free[:n-1]
@@ -250,7 +248,7 @@ func (op *OpenPending) newArrival() *arrival {
 }
 
 //simlint:hotpath
-func (op *OpenPending) putArrival(a *arrival) {
+func (op *openRun) putArrival(a *arrival) {
 	*a = arrival{}
 	op.free = append(op.free, a)
 }
@@ -319,16 +317,15 @@ func (cfg OpenConfig) arrivals(s *ods.Store) Arrivals {
 	return NewMMPP(rng, onRate, offRate, cfg.BurstOn, cfg.BurstOff)
 }
 
-// StartOpen spawns an open-loop run's generator and worker processes on
-// s without running the engine. Drive the engine to completion
-// (s.Eng.Run, or a parallel cluster run), then call Collect.
-func StartOpen(s *ods.Store, cfg OpenConfig) *OpenPending {
+// startOpen spawns an open-loop run's generator and worker processes on
+// s without running the engine.
+func startOpen(s *ods.Store, cfg OpenConfig) *openRun {
 	cfg = cfg.withDefaults(s)
 	nShards := s.Partitions(cfg.File)
 	if nShards == 0 {
 		panic(fmt.Sprintf("loadgen: unknown file %q", cfg.File))
 	}
-	op := &OpenPending{
+	op := &openRun{
 		s:      s,
 		cfg:    cfg,
 		shards: make([]openShard, nShards),
@@ -345,22 +342,12 @@ func StartOpen(s *ods.Store, cfg OpenConfig) *OpenPending {
 	}
 
 	// Workers: a bounded executor pool, WorkersPerShard per shard,
-	// spread round-robin over the CPUs. In partitioned mode every
-	// harness process is pinned to CPU 0 instead: the admission queues
-	// are sim.Chans on engine 0, and a sim.Chan may only be touched
-	// from its own engine. Pinning applies whenever the store is
-	// partitioned — at NodeLPs=1 too — so the modeled schedule is
-	// identical at every partition count (the store side still spreads
-	// its services over all nodes; only the load harness is pinned).
+	// spread round-robin over the CPUs.
 	widx := 0
 	for sh := 0; sh < nShards; sh++ {
 		for w := 0; w < cfg.WorkersPerShard; w++ {
 			sh, w, widx := sh, w, widx
-			cpu := widx % s.Opts.CPUs
-			if s.Part != nil {
-				cpu = 0
-			}
-			s.Cl.CPU(cpu).Spawn(fmt.Sprintf("loadw-%d-%d", sh, w), func(p *cluster.Process) {
+			s.Cl.CPU(widx%s.Opts.CPUs).Spawn(fmt.Sprintf("loadw-%d-%d", sh, w), func(p *cluster.Process) {
 				op.worker(p, sh, w)
 				op.doneAt[widx] = p.Now()
 			})
@@ -378,7 +365,7 @@ func StartOpen(s *ods.Store, cfg OpenConfig) *OpenPending {
 
 // generate runs the arrival loop: wait one inter-arrival gap, draw a
 // skewed key, route to its shard, admit or drop.
-func (op *OpenPending) generate(p *cluster.Process) {
+func (op *openRun) generate(p *cluster.Process) {
 	s, cfg := op.s, op.cfg
 	op.t0 = p.Now()
 	horizon := op.t0 + cfg.Window
@@ -426,7 +413,7 @@ func (op *OpenPending) generate(p *cluster.Process) {
 
 // worker drains one shard's admission queue until the end-of-window
 // sentinel arrives.
-func (op *OpenPending) worker(p *cluster.Process, shard, slot int) {
+func (op *openRun) worker(p *cluster.Process, shard, slot int) {
 	s, cfg := op.s, op.cfg
 	st := &op.shards[shard]
 	se := s.NewSession(p)
@@ -449,7 +436,7 @@ func (op *OpenPending) worker(p *cluster.Process, shard, slot int) {
 // shard.
 //
 //simlint:hotpath
-func (op *OpenPending) runTxn(p *cluster.Process, se *ods.Session, st *openShard,
+func (op *openRun) runTxn(p *cluster.Process, se *ods.Session, st *openShard,
 	shard int, a *arrival, rng *rand.Rand, body []byte, staged []uint64) {
 	cfg, res := op.cfg, &op.res
 	nShards := uint64(len(op.shards))
@@ -536,8 +523,8 @@ func (op *OpenPending) runTxn(p *cluster.Process, se *ods.Session, st *openShard
 	res.Service.Record(p.Now() - dispatched)
 }
 
-// Collect assembles the result after the engine has been drained.
-func (op *OpenPending) Collect() OpenResult {
+// collect assembles the result after the engine has been drained.
+func (op *openRun) collect() OpenResult {
 	res := op.res
 	for _, t := range op.doneAt {
 		if t-op.t0 > res.Elapsed {
@@ -553,11 +540,9 @@ func (op *OpenPending) Collect() OpenResult {
 
 // RunOpen drives an open-loop run against an idle store to completion
 // and returns aggregated results. Deterministic for a given store seed
-// and config; partitioned stores drain under the safe-window scheduler
-// (single-threaded — pass a worker count to ods.Store.Run directly for
-// an intra-run parallel drain, the result is byte-identical).
+// and config.
 func RunOpen(s *ods.Store, cfg OpenConfig) OpenResult {
-	pend := StartOpen(s, cfg)
+	op := startOpen(s, cfg)
 	s.Run(1)
-	return pend.Collect()
+	return op.collect()
 }

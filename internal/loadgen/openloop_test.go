@@ -281,5 +281,39 @@ func TestStartOpenUnknownFile(t *testing.T) {
 	}()
 	cfg := DefaultOpenConfig()
 	cfg.File = "NOSUCH"
-	StartOpen(s, cfg)
+	startOpen(s, cfg)
+}
+
+// TestOpenLoopSparseConfigDeterministic: a config naming only a rate and
+// a window takes every other field from DefaultOpenConfig, and two runs
+// of the same seed render byte-identical summaries and event counts.
+func TestOpenLoopSparseConfigDeterministic(t *testing.T) {
+	run := func() (string, uint64) {
+		opts := ods.DefaultOptions()
+		opts.Seed = 1
+		s := ods.Build(opts)
+		defer s.Shutdown()
+		res := RunOpen(s, OpenConfig{Rate: 2000, Window: 100 * sim.Millisecond})
+		if res.Commits == 0 || res.Offered() <= 0 || res.Delivered() <= 0 {
+			t.Errorf("sparse-config run did no work: %s", res.String())
+		}
+		return res.String(), res.Events
+	}
+	s1, e1 := run()
+	s2, e2 := run()
+	if s1 != s2 || e1 != e2 || e1 == 0 {
+		t.Errorf("same-seed runs diverged (%d vs %d events):\n%s\n---\n%s", e1, e2, s1, s2)
+	}
+}
+
+// TestZeroResultRates: rates over an empty window or elapsed time are
+// zero, not NaN.
+func TestZeroResultRates(t *testing.T) {
+	var open OpenResult
+	if open.Offered() != 0 || open.Delivered() != 0 {
+		t.Error("zero OpenResult reports a nonzero rate")
+	}
+	if (Result{}).TxnPerSec() != 0 {
+		t.Error("zero Result reports a nonzero rate")
+	}
 }

@@ -66,15 +66,6 @@ type Options struct {
 	// CPUs in the node (paper: 4; a 5th carried the PMP, which here is a
 	// fabric device and needs no CPU).
 	CPUs int
-	// NodeLPs, when positive, builds the store in partitioned mode: the
-	// node topology is split across min(NodeLPs, CPUs) logical processes
-	// (one engine each) run by the conservative safe-window scheduler, so
-	// one store's simulation can occupy several OS threads. The schedule
-	// is byte-identical at every NodeLPs value and worker count, but
-	// differs from the single-engine build (NodeLPs == 0): all cross-node
-	// fabric traffic then pays the conservative lookahead floor. CPU
-	// fault injection and metrics registries are unsupported in this mode.
-	NodeLPs int
 	// Files and their partition counts (paper: 4 files × 4 partitions).
 	Files []FileSpec
 	// DataVolumes across which partitions are spread (paper: 16).
@@ -162,10 +153,6 @@ const PMVolumeName = "$PM1"
 type Store struct {
 	Eng *sim.Engine
 	Cl  *cluster.Cluster
-	// Part is the LP-partition runtime in partitioned mode (Options.
-	// NodeLPs > 0); nil otherwise. The caller drives partitioned runs
-	// with Part.Run / Part.RunSequential instead of Eng.Run.
-	Part *cluster.Partition
 
 	Opts Options
 
@@ -184,41 +171,12 @@ type Store struct {
 	dpNames map[string][]string // file -> per-partition name
 }
 
-// Build constructs and starts a store on a fresh engine — or, when
-// opts.NodeLPs is positive, on a partitioned cluster of engines.
+// Build constructs and starts a store on a fresh engine.
 func Build(opts Options) *Store {
-	if opts.NodeLPs > 0 {
-		return buildPartitioned(opts)
-	}
-	eng := sim.NewEngine(opts.Seed)
-	return BuildOn(eng, opts)
+	return BuildOn(sim.NewEngine(opts.Seed), opts)
 }
 
-// buildPartitioned assembles the store on a partitioned cluster.
-func buildPartitioned(opts Options) *Store {
-	if opts.Metrics != nil {
-		panic("ods: metrics registries are unsupported in partitioned mode")
-	}
-	checkOptions(opts)
-	ccfg := opts.ClusterConfig
-	ccfg.CPUs = opts.CPUs
-	cl, pt := cluster.NewPartitioned(opts.Seed, ccfg, opts.NodeLPs)
-	s := assemble(cl, opts)
-	s.Part = pt
-	return s
-}
-
-// BuildOn constructs and starts a store on an existing engine (so tests
-// can co-locate other machinery). Single-engine only: partitioned builds
-// create their own engines via Build.
-func BuildOn(eng *sim.Engine, opts Options) *Store {
-	checkOptions(opts)
-	ccfg := opts.ClusterConfig
-	ccfg.CPUs = opts.CPUs
-	return assemble(cluster.New(eng, ccfg), opts)
-}
-
-// checkOptions validates sizing invariants shared by both build modes.
+// checkOptions validates the store's sizing invariants.
 func checkOptions(opts Options) {
 	if opts.CPUs < 2 {
 		panic("ods: need at least 2 CPUs for process pairs")
@@ -243,14 +201,16 @@ func checkOptions(opts Options) {
 	}
 }
 
-// assemble builds the store's volumes, devices, and service pairs on an
-// already-constructed cluster. In partitioned mode every volume is
-// created on the engine of the node whose processes touch it: data
-// volume i on its DP2 primary CPU (i mod CPUs), audit volume i on ADP
-// i's CPU.
-func assemble(cl *cluster.Cluster, opts Options) *Store {
+// BuildOn constructs and starts a store on an existing engine (so tests
+// can co-locate other machinery): its volumes, devices, and service
+// pairs.
+func BuildOn(eng *sim.Engine, opts Options) *Store {
+	checkOptions(opts)
+	ccfg := opts.ClusterConfig
+	ccfg.CPUs = opts.CPUs
+	cl := cluster.New(eng, ccfg)
 	s := &Store{
-		Eng:     cl.Engine(),
+		Eng:     eng,
 		Cl:      cl,
 		Opts:    opts,
 		DP2s:    make(map[string]*dp2.DP2),
@@ -261,13 +221,12 @@ func assemble(cl *cluster.Cluster, opts Options) *Store {
 		cl.Fabric().SetMetrics(opts.Metrics.Net)
 	}
 
-	mkVolume := func(node int, name string, capacity int64, spans *metrics.DiskSpans) *disk.Volume {
-		veng := cl.EngineFor(node)
+	mkVolume := func(name string, capacity int64, spans *metrics.DiskSpans) *disk.Volume {
 		var v *disk.Volume
 		if opts.RetainData {
-			v = disk.New(veng, name, opts.DiskConfig, capacity)
+			v = disk.New(eng, name, opts.DiskConfig, capacity)
 		} else {
-			v = disk.NewDiscard(veng, name, opts.DiskConfig, capacity)
+			v = disk.NewDiscard(eng, name, opts.DiskConfig, capacity)
 		}
 		v.SetMetrics(spans)
 		return v
@@ -278,7 +237,7 @@ func assemble(cl *cluster.Cluster, opts Options) *Store {
 	}
 
 	for i := 0; i < opts.DataVolumes; i++ {
-		s.DataVolumes = append(s.DataVolumes, mkVolume(i%opts.CPUs, fmt.Sprintf("$DATA%02d", i), opts.DataVolumeBytes, dataSpans))
+		s.DataVolumes = append(s.DataVolumes, mkVolume(fmt.Sprintf("$DATA%02d", i), opts.DataVolumeBytes, dataSpans))
 	}
 
 	// PM deployment first: the ADPs (or PMDirect DP2s) open their regions
@@ -323,7 +282,7 @@ func assemble(cl *cluster.Cluster, opts Options) *Store {
 				acfg.PMVolume = PMVolumeName
 				acfg.RegionSize = opts.PMRegionBytes
 			} else {
-				vol := mkVolume(i%opts.CPUs, fmt.Sprintf("$AUDIT%d", i), opts.AuditVolumeBytes, auditSpans)
+				vol := mkVolume(fmt.Sprintf("$AUDIT%d", i), opts.AuditVolumeBytes, auditSpans)
 				s.AuditVolumes = append(s.AuditVolumes, vol)
 				acfg.Volume = vol
 			}
@@ -376,40 +335,16 @@ func assemble(cl *cluster.Cluster, opts Options) *Store {
 	return s
 }
 
-// EventsExecuted returns the store-wide executed-event count: the sum
-// over all LP engines in partitioned mode, the single engine's counter
-// otherwise.
-func (s *Store) EventsExecuted() uint64 {
-	if s.Part != nil {
-		return s.Part.EventsExecuted()
-	}
-	return s.Eng.EventsExecuted()
-}
+// EventsExecuted returns the store engine's executed-event count.
+func (s *Store) EventsExecuted() uint64 { return s.Eng.EventsExecuted() }
 
-// Shutdown releases the store's engine goroutines (all LP engines in
-// partitioned mode).
-func (s *Store) Shutdown() {
-	if s.Part != nil {
-		s.Part.Shutdown()
-		return
-	}
-	s.Eng.Shutdown()
-}
+// Shutdown releases the store engine's goroutines.
+func (s *Store) Shutdown() { s.Eng.Shutdown() }
 
-// Run drains the store's simulation: on workers OS threads through the
-// safe-window scheduler in partitioned mode, inline on the single engine
-// otherwise.
-func (s *Store) Run(workers int) {
-	if s.Part != nil {
-		if workers > 1 {
-			s.Part.Run(workers)
-		} else {
-			s.Part.RunSequential()
-		}
-		return
-	}
-	s.Eng.Run()
-}
+// Run drains the store's simulation on its engine. workers is ignored:
+// a store always runs on one engine, and callers that want concurrency
+// run independent stores on bench.ForEach.
+func (s *Store) Run(workers int) { s.Eng.Run() }
 
 // SetCommitHook forwards to the transaction monitor's commit observer —
 // the store-level handle fault-injection plans arm their "after the Nth

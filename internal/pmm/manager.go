@@ -152,7 +152,7 @@ func (m *Manager) serve(ctx *cluster.PairCtx) {
 	// cycle it is what restores client access.
 	m.programManagement(ctx)
 	for _, name := range sortedOpen(st) {
-		m.programRegion(ctx.Process, st, name)
+		m.programRegion(st, name)
 	}
 
 	for {
@@ -225,7 +225,7 @@ func (m *Manager) handleOpen(ctx *cluster.PairCtx, st *VolumeState, req OpenReq)
 		st.OpenBy[req.Name] = set
 	}
 	set[req.ClientCPU] = true
-	m.programRegion(ctx.Process, st, req.Name)
+	m.programRegion(st, req.Name)
 	m.checkpoint(ctx, st)
 	return Resp{Info: m.info(r)}
 }
@@ -240,7 +240,7 @@ func (m *Manager) handleClose(ctx *cluster.PairCtx, st *VolumeState, req CloseRe
 			delete(st.OpenBy, req.Name)
 		}
 	}
-	m.programRegion(ctx.Process, st, req.Name)
+	m.programRegion(st, req.Name)
 	m.checkpoint(ctx, st)
 	return Resp{}
 }
@@ -285,19 +285,13 @@ func (m *Manager) handleResilver(ctx *cluster.PairCtx, st *VolumeState) Resilver
 	cpuEP := ctx.CPU().Endpoint().ID()
 	const repairBase = uint32(0xF0000000)
 	for _, d := range []*npmu.Device{src, dst} {
-		ep, st := d.Endpoint(), d.Store()
-		capBytes := d.Capacity()
-		m.cl.RunOn(ctx.Process, m.cl.NodeOf(ep.ID()), func() {
-			ep.UnmapWindow(repairBase)
-			ep.MapWindow(repairBase, uint32(capBytes-MetaBytes), st, MetaBytes, servernet.Perm{
-				Read: true, Write: true,
-				Initiators: map[servernet.EndpointID]bool{cpuEP: true},
-			})
-		})
-	}
-	for _, d := range []*npmu.Device{src, dst} {
 		ep := d.Endpoint()
-		defer m.cl.RunOn(ctx.Process, m.cl.NodeOf(ep.ID()), func() { ep.UnmapWindow(repairBase) })
+		ep.UnmapWindow(repairBase)
+		ep.MapWindow(repairBase, uint32(d.Capacity()-MetaBytes), d.Store(), MetaBytes, servernet.Perm{
+			Read: true, Write: true,
+			Initiators: map[servernet.EndpointID]bool{cpuEP: true},
+		})
+		defer ep.UnmapWindow(repairBase)
 	}
 
 	fab := ctx.CPU().Fabric()
@@ -326,7 +320,7 @@ func (m *Manager) handleResilver(ctx *cluster.PairCtx, st *VolumeState) Resilver
 		return ResilverResp{BytesCopied: copied, Err: err}
 	}
 	for _, name := range sortedOpen(st) {
-		m.programRegion(ctx.Process, st, name)
+		m.programRegion(st, name)
 	}
 	m.Resilvers++
 	return ResilverResp{BytesCopied: copied}
@@ -346,28 +340,23 @@ func sortedOpen(st *VolumeState) []string {
 }
 
 // programManagement maps the metadata area of both devices for the PMM's
-// current CPU only. ATT state belongs to each device's owner node, so in
-// a partitioned cluster the mutation executes there via the remote-exec
-// seam (inline on a single-engine cluster).
+// current CPU only.
 func (m *Manager) programManagement(ctx *cluster.PairCtx) {
 	cpuEP := ctx.CPU().Endpoint().ID()
 	for _, d := range m.devices() {
-		ep, st := d.Endpoint(), d.Store()
-		m.cl.RunOn(ctx.Process, m.cl.NodeOf(ep.ID()), func() {
-			ep.UnmapWindow(0)
-			ep.MapWindow(0, MetaBytes, st, 0, servernet.Perm{
-				Read:       true,
-				Write:      true,
-				Initiators: map[servernet.EndpointID]bool{cpuEP: true},
-			})
+		ep := d.Endpoint()
+		ep.UnmapWindow(0)
+		ep.MapWindow(0, MetaBytes, d.Store(), 0, servernet.Perm{
+			Read:       true,
+			Write:      true,
+			Initiators: map[servernet.EndpointID]bool{cpuEP: true},
 		})
 	}
 }
 
 // programRegion (re)installs the ATT entry for one region on both devices,
-// granting access to exactly the CPUs that hold it open. Like
-// programManagement, the ATT writes run on each device's owner node.
-func (m *Manager) programRegion(p *cluster.Process, st *VolumeState, name string) {
+// granting access to exactly the CPUs that hold it open.
+func (m *Manager) programRegion(st *VolumeState, name string) {
 	r := st.Regions[name]
 	if r == nil {
 		return
@@ -383,16 +372,13 @@ func (m *Manager) programRegion(p *cluster.Process, st *VolumeState, name string
 		}
 	}
 	for _, d := range m.devices() {
-		ep, store := d.Endpoint(), d.Store()
-		m.cl.RunOn(p, m.cl.NodeOf(ep.ID()), func() {
-			ep.UnmapWindow(base)
-			if initiators == nil {
-				return
-			}
-			ep.MapWindow(base, uint32(r.Size), store, r.Offset, servernet.Perm{
+		ep := d.Endpoint()
+		ep.UnmapWindow(base)
+		if initiators != nil {
+			ep.MapWindow(base, uint32(r.Size), d.Store(), r.Offset, servernet.Perm{
 				Read: true, Write: true, Initiators: initiators,
 			})
-		})
+		}
 	}
 }
 

@@ -85,9 +85,8 @@ func DefaultConfig() Config {
 // operation being initiated on this fabric and any effect becoming
 // visible at another endpoint: software latency plus one wire hop plus
 // one packet's fixed overhead (payload serialization only adds to this).
-// It is the conservative-parallel lookahead the LP scheduler builds its
-// safe windows from — the paper's 10–20 µs minimum fabric latency floor,
-// 16.3 µs under DefaultConfig.
+// It is the paper's 10–20 µs minimum fabric latency floor, 16.3 µs under
+// DefaultConfig.
 func (c Config) MinLatency() sim.Time {
 	return c.SoftwareLatency + c.WireLatency + c.PerPacketOverhead
 }
@@ -182,14 +181,6 @@ type Fabric struct {
 	cfg Config
 	eps map[EndpointID]*Endpoint
 	rng *rand.Rand
-
-	// router and node are set on the per-node fabrics of a partitioned
-	// topology (SetRouter): operations addressed to an endpoint this
-	// fabric does not hold are forwarded to the owner node's fabric
-	// through the router's cross-LP seam instead of failing. nil for the
-	// classic single-engine fabric.
-	router Router
-	node   int
 
 	// pathUp tracks the X (0) and Y (1) fabrics; PathOps counts the
 	// transfers each carried.

@@ -519,10 +519,9 @@ func TestTranslationRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestMinLatencyIsTheFabricFloor pins the conservative-parallel
-// lookahead to the fabric's hard latency floor: the paper's 10–20 µs
-// range under the calibrated defaults, and never more than a measured
-// minimal one-way operation.
+// TestMinLatencyIsTheFabricFloor pins MinLatency to the fabric's hard
+// latency floor: the paper's 10–20 µs range under the calibrated
+// defaults.
 func TestMinLatencyIsTheFabricFloor(t *testing.T) {
 	cfg := DefaultConfig()
 	min := cfg.MinLatency()

@@ -6,58 +6,6 @@ import (
 	"testing"
 )
 
-// TestScheduleArrivalOrdering pins the cross-LP delivery contract: a batch
-// of arrivals dispatches in (at, src, seq) order — the key the sending
-// node assigned, not insertion order — and an arrival wins the tie against
-// a same-time locally scheduled event.
-func TestScheduleArrivalOrdering(t *testing.T) {
-	e := NewEngine(1)
-	var got []string
-	rec := func(tag string) func() { return func() { got = append(got, tag) } }
-	// Local event first so the arrival has something to tie-break against.
-	e.Schedule(100, rec("local@100"))
-	// Inserted deliberately out of key order: the queue must sort them.
-	e.ScheduleArrival(100, 2, 1, rec("arr@100/s2"))
-	e.ScheduleArrival(100, 1, 2, rec("arr@100/s1q2"))
-	e.ScheduleArrival(100, 1, 1, rec("arr@100/s1q1"))
-	e.ScheduleArrival(50, 3, 9, rec("arr@50"))
-	if e.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5", e.Pending())
-	}
-	if at, ok := e.NextEventTime(); !ok || at != 50 {
-		t.Fatalf("NextEventTime = (%v, %v), want (50, true)", at, ok)
-	}
-	e.Run()
-	want := []string{"arr@50", "arr@100/s1q1", "arr@100/s1q2", "arr@100/s2", "local@100"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("dispatch order %v, want %v", got, want)
-	}
-}
-
-// TestScheduleArrivalAcrossWindows drives the queue the way the barrier
-// does — consume a prefix, then insert more — so the compaction and the
-// mid-queue insertion-sort paths both execute.
-func TestScheduleArrivalAcrossWindows(t *testing.T) {
-	e := NewEngine(1)
-	var got []Time
-	rec := func() { got = append(got, e.Now()) }
-	e.ScheduleArrival(10, 0, 1, rec)
-	e.ScheduleArrival(40, 0, 2, rec)
-	e.RunUntil(20) // consumes the first arrival, leaves a consumed prefix
-	if e.Now() != 10 || len(got) != 1 {
-		t.Fatalf("after first window: now=%v dispatched=%d", e.Now(), len(got))
-	}
-	// A pre-past arrival clamps to now; an earlier-than-pending arrival
-	// must shift in front of the one left over from the last window.
-	e.ScheduleArrival(5, 1, 1, rec)
-	e.ScheduleArrival(30, 2, 1, rec)
-	e.Run()
-	want := []Time{10, 10, 30, 40}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("arrival times %v, want %v", got, want)
-	}
-}
-
 // TestStepExecutesOneEvent: Step consumes exactly one event per call and
 // reports exhaustion.
 func TestStepExecutesOneEvent(t *testing.T) {
@@ -74,8 +22,8 @@ func TestStepExecutesOneEvent(t *testing.T) {
 	if e.Step() {
 		t.Fatal("Step on a drained engine reported an event")
 	}
-	if _, ok := e.NextEventTime(); ok {
-		t.Fatal("drained engine still reports a next event")
+	if e.Pending() != 0 {
+		t.Fatal("drained engine still reports a pending event")
 	}
 }
 

@@ -75,17 +75,6 @@ type Engine struct {
 	// call/reply hot path stops allocating one per request.
 	sigfree []*Signal //simlint:box -- one-shot completion-signal pool
 
-	// arrivals is the cross-LP arrival queue: events injected by the
-	// conservative parallel runtime's barrier, ordered by the global
-	// (at, src, seq) message key rather than this engine's seq counter.
-	// Keeping them out of the wheel makes their dispatch order a pure
-	// function of the key — independent of which safe window the barrier
-	// delivered them in, and therefore of the partition count. At equal
-	// timestamps an arrival dispatches before any wheel event (a static
-	// rule, applied in next/pop). arrHead is the consumed prefix.
-	arrivals []arrival
-	arrHead  int
-
 	// cur is the process currently being stepped, if any.
 	cur *Proc
 	// stopped is set by Stop; Run returns at the next event boundary.
@@ -166,61 +155,6 @@ func (e *Engine) DeriveRand(name string) *rand.Rand {
 	return rand.New(rand.NewSource(int64(h.Sum64())))
 }
 
-// arrival is one cross-LP delivery waiting in the arrival queue, keyed by
-// (at, src, seq) — the source node index and its per-node send sequence.
-type arrival struct {
-	at  Time
-	src int
-	seq uint64
-	fn  func()
-}
-
-// arrivalLess orders arrivals by the global message key.
-func arrivalLess(a, b *arrival) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
-}
-
-// ScheduleArrival enqueues fn as a cross-LP arrival at absolute time at,
-// ordered among arrivals by (at, src, seq) and dispatched before any
-// same-time locally scheduled event. It is the delivery primitive of the
-// partitioned parallel runtime (internal/sim/parallel): because the key is
-// assigned by the sending node, not by this engine's seq counter, the
-// dispatch order is identical however the nodes are grouped into LPs.
-// Only barrier code may call it, and only between windows.
-func (e *Engine) ScheduleArrival(at Time, src int, seq uint64, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	ar := arrival{at: at, src: src, seq: seq, fn: fn}
-	// Compact the consumed prefix before growing.
-	if e.arrHead > 0 {
-		n := copy(e.arrivals, e.arrivals[e.arrHead:])
-		for i := n; i < len(e.arrivals); i++ {
-			e.arrivals[i] = arrival{}
-		}
-		e.arrivals = e.arrivals[:n]
-		e.arrHead = 0
-	}
-	// Insertion sort from the back: the barrier inserts in key order, so
-	// this is almost always a straight append; only arrivals pending from
-	// an earlier window with larger timestamps force a shift.
-	e.arrivals = append(e.arrivals, ar)
-	for i := len(e.arrivals) - 1; i > 0 && arrivalLess(&e.arrivals[i], &e.arrivals[i-1]); i-- {
-		e.arrivals[i], e.arrivals[i-1] = e.arrivals[i-1], e.arrivals[i]
-	}
-}
-
-// pendingArrivals reports the number of undispatched arrivals.
-//
-//simlint:hotpath
-func (e *Engine) pendingArrivals() int { return len(e.arrivals) - e.arrHead }
-
 // push hands ev to the active scheduler.
 //
 //simlint:hotpath
@@ -234,53 +168,21 @@ func (e *Engine) push(ev event) {
 
 // next returns the earliest pending event's time without consuming it
 // (the wheel advances its cursor and stages the ready bucket; the heap
-// just peeks). ok is false when nothing is pending. Arrivals are merged
-// in, winning ties against same-time local events.
+// just peeks). ok is false when nothing is pending.
 //
 //simlint:hotpath
 func (e *Engine) next() (Time, bool) {
-	var lt Time
-	var lok bool
 	if e.ref != nil {
-		lt, lok = e.ref.peek()
-	} else {
-		lt, lok = e.q.nextTime()
+		return e.ref.peek()
 	}
-	if e.arrHead < len(e.arrivals) {
-		if at := e.arrivals[e.arrHead].at; !lok || at <= lt {
-			return at, true
-		}
-	}
-	return lt, lok
+	return e.q.nextTime()
 }
 
 // pop removes and returns the earliest pending event. Callers must have
-// seen next return ok. An arrival due no later than the earliest local
-// event is surfaced first, as a plain callback event.
+// seen next return ok.
 //
 //simlint:hotpath
 func (e *Engine) pop() event {
-	if e.arrHead < len(e.arrivals) {
-		at := e.arrivals[e.arrHead].at
-		var lt Time
-		var lok bool
-		if e.ref != nil {
-			lt, lok = e.ref.peek()
-		} else {
-			lt, lok = e.q.nextTime()
-		}
-		if !lok || at <= lt {
-			ar := &e.arrivals[e.arrHead]
-			ev := event{at: ar.at, fn: ar.fn}
-			*ar = arrival{}
-			e.arrHead++
-			if e.arrHead == len(e.arrivals) {
-				e.arrivals = e.arrivals[:0]
-				e.arrHead = 0
-			}
-			return ev
-		}
-	}
 	if e.ref != nil {
 		return e.ref.pop()
 	}
@@ -432,18 +334,12 @@ func (e *Engine) Step() bool {
 	return e.events > before
 }
 
-// NextEventTime returns the timestamp of the earliest pending event
-// without consuming it; ok is false when the queue is empty. Conservative
-// parallel scheduling (internal/sim/parallel) computes its safe-window
-// bounds from it.
-func (e *Engine) NextEventTime() (Time, bool) { return e.next() }
-
-// Pending reports the number of queued events, cross-LP arrivals included.
+// Pending reports the number of queued events.
 func (e *Engine) Pending() int {
 	if e.ref != nil {
-		return e.ref.len() + e.pendingArrivals()
+		return e.ref.len()
 	}
-	return e.q.count + e.pendingArrivals()
+	return e.q.count
 }
 
 // LiveProcs returns the number of processes that have been spawned and have

@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
-# simlint (determinism, hot-path, box-lifecycle and LP-boundary suite).
+# simlint (determinism, hot-path and box-lifecycle suite).
 # The committed baseline is empty: the tree carries zero findings, only
 # reviewed //simlint:allow suppressions. The JSON report is left behind on
 # failure so CI can upload it as an artifact.
@@ -33,53 +33,14 @@ go test -race -timeout 20m ./...
 # allocs/txn and fail on >20% regression against the committed baseline.
 go run ./cmd/simbench -compare BENCH_kernel.json
 
-# Parallel-engine differential gates: the conservative LP cluster must
-# produce byte-identical schedules at any worker count, verified under
-# the race detector with GOMAXPROCS>1 so the worker goroutines genuinely
-# interleave.
-GOMAXPROCS=4 go test -race -count=1 ./internal/sim/parallel
-GOMAXPROCS=4 go test -race -count=1 -run 'EngineDifferential' ./internal/bench
-
-# Intra-run partitioning differential gates: one store split across 1, 2
-# and 4 node-LPs must execute byte-identical schedules, verified under
-# the race detector with the LP workers genuinely concurrent.
-GOMAXPROCS=4 go test -race -count=1 -run 'PartitionInvariance' \
-	./internal/ods ./internal/loadgen ./internal/bench
-
-# Partitioned figure gate: a full-scale Figure 1 cell run as one
-# partitioned simulation prints byte-identical CSV at 1, 2 and 4
-# node-LPs (smoke seeds 1-3 first, then the full-scale acceptance cell).
-for seed in 1 2 3; do
-	go run ./cmd/figures -fig 1cell -scale smoke -seed "$seed" -node-lps 1 > /tmp/cell-a.csv
-	go run ./cmd/figures -fig 1cell -scale smoke -seed "$seed" -node-lps 2 > /tmp/cell-b.csv
-	cmp /tmp/cell-a.csv /tmp/cell-b.csv
-	go run ./cmd/figures -fig 1cell -scale smoke -seed "$seed" -node-lps 4 > /tmp/cell-c.csv
-	cmp /tmp/cell-a.csv /tmp/cell-c.csv
-done
-go run ./cmd/figures -fig 1cell -scale full -seed 1 -node-lps 1 > /tmp/cell-a.csv
-go run ./cmd/figures -fig 1cell -scale full -seed 1 -node-lps 2 > /tmp/cell-b.csv
-cmp /tmp/cell-a.csv /tmp/cell-b.csv
-go run ./cmd/figures -fig 1cell -scale full -seed 1 -node-lps 4 > /tmp/cell-c.csv
-cmp /tmp/cell-a.csv /tmp/cell-c.csv
-rm -f /tmp/cell-a.csv /tmp/cell-b.csv /tmp/cell-c.csv
-
-# Partitioned fault demo: the volume-fault scenario must print the same
-# transcript at every partition count.
-go run ./cmd/faults -node-lps 1 > /tmp/pfault-a.txt
-go run ./cmd/faults -node-lps 2 > /tmp/pfault-b.txt
-cmp /tmp/pfault-a.txt /tmp/pfault-b.txt
-go run ./cmd/faults -node-lps 4 > /tmp/pfault-c.txt
-cmp /tmp/pfault-a.txt /tmp/pfault-c.txt
-rm -f /tmp/pfault-a.txt /tmp/pfault-b.txt /tmp/pfault-c.txt
-
 # Fault-injection smoke matrix: every (durability x fault x phase) cell
 # must pass its invariants — the history-based atomicity/serializability
 # checker runs inside every cell, and the -violations artifact must come
-# out empty — and the whole sweep must be deterministic: three same-seed
-# runs (default pool, sequential, and the parallel LP engine) print
-# byte-identical tables. The cell-count grep pins the matrix size so the
-# cross-shard cells (coordinator/participant kills inside the prepare,
-# in-doubt, post-outcome and apply windows) cannot silently drop out.
+# out empty — and the whole sweep must be deterministic: two same-seed
+# runs (default pool and sequential) print byte-identical tables. The
+# cell-count grep pins the matrix size so the cross-shard cells
+# (coordinator/participant kills inside the prepare, in-doubt,
+# post-outcome and apply windows) cannot silently drop out.
 go run ./cmd/faults -txns 8 -chaos 1 -violations /tmp/faults-viol.txt > /tmp/faults-a.txt
 test ! -s /tmp/faults-viol.txt
 grep -q '64/64 cells passed' /tmp/faults-a.txt
@@ -87,9 +48,7 @@ grep -c 'xs-coord' /tmp/faults-a.txt | grep -qx 9
 grep -c 'xs-part' /tmp/faults-a.txt | grep -qx 6
 go run ./cmd/faults -txns 8 -chaos 1 -parallel 1 > /tmp/faults-b.txt
 cmp /tmp/faults-a.txt /tmp/faults-b.txt
-go run ./cmd/faults -txns 8 -chaos 1 -engine parallel > /tmp/faults-c.txt
-cmp /tmp/faults-a.txt /tmp/faults-c.txt
-rm -f /tmp/faults-a.txt /tmp/faults-b.txt /tmp/faults-c.txt /tmp/faults-viol.txt
+rm -f /tmp/faults-a.txt /tmp/faults-b.txt /tmp/faults-viol.txt
 
 # Figure-artifact staleness gate: regenerate every table at quick scale
 # and compare its format skeleton (numbers, durations and the scale name
@@ -109,41 +68,20 @@ rm -f /tmp/figures-quick.txt /tmp/figures-skel-full.txt /tmp/figures-skel-quick.
 # Open-loop saturation sweep: the smoke-scale sweep must pass its shape
 # checks (knee present per durability, p99 strictly rising past it,
 # monotone shard/volume scaling) and print byte-identical CSV at any
-# parallelism and on the parallel LP engine — the same determinism
-# contract the committed saturation_full.csv was generated under. The
-# summary-table skeleton doubles as the staleness gate for the committed
-# full-scale artifact, like the figure tables above.
+# parallelism — the same determinism contract the committed
+# saturation_full.csv was generated under. The summary-table skeleton
+# doubles as the staleness gate for the committed full-scale artifact,
+# like the figure tables above.
 go run ./cmd/loadgen -scale smoke -seed 1 -check -csv > /tmp/sat-a.csv
 go run ./cmd/loadgen -scale smoke -seed 1 -csv -parallel 1 > /tmp/sat-b.csv
 cmp /tmp/sat-a.csv /tmp/sat-b.csv
-go run ./cmd/loadgen -scale smoke -seed 1 -csv -engine parallel > /tmp/sat-c.csv
-cmp /tmp/sat-a.csv /tmp/sat-c.csv
-rm -f /tmp/sat-a.csv /tmp/sat-b.csv /tmp/sat-c.csv
-# The same sweep with every store built as one partitioned simulation:
-# byte-identical CSV at 1, 2 and 4 node-LPs. (A partitioned store models
-# explicit cross-node latency, so its CSV is compared only against other
-# partition counts, never against the single-engine runs above.)
-go run ./cmd/loadgen -scale smoke -seed 1 -csv -node-lps 1 > /tmp/sat-p1.csv
-go run ./cmd/loadgen -scale smoke -seed 1 -csv -node-lps 2 > /tmp/sat-p2.csv
-cmp /tmp/sat-p1.csv /tmp/sat-p2.csv
-go run ./cmd/loadgen -scale smoke -seed 1 -csv -node-lps 4 > /tmp/sat-p4.csv
-cmp /tmp/sat-p1.csv /tmp/sat-p4.csv
-rm -f /tmp/sat-p1.csv /tmp/sat-p2.csv /tmp/sat-p4.csv
+rm -f /tmp/sat-a.csv /tmp/sat-b.csv
 # The same determinism contract with a cross-shard two-phase mix in
-# every cell: byte-identical CSV at -parallel 1/8, on the parallel LP
-# engine, and (separately, as above) at 1, 2 and 4 node-LPs.
+# every cell: byte-identical CSV at -parallel 1/8.
 go run ./cmd/loadgen -scale smoke -seed 1 -csv -cross-shard-pct 50 -parallel 1 > /tmp/sat-x1.csv
 go run ./cmd/loadgen -scale smoke -seed 1 -csv -cross-shard-pct 50 -parallel 8 > /tmp/sat-x2.csv
 cmp /tmp/sat-x1.csv /tmp/sat-x2.csv
-go run ./cmd/loadgen -scale smoke -seed 1 -csv -cross-shard-pct 50 -engine parallel > /tmp/sat-x3.csv
-cmp /tmp/sat-x1.csv /tmp/sat-x3.csv
-rm -f /tmp/sat-x1.csv /tmp/sat-x2.csv /tmp/sat-x3.csv
-go run ./cmd/loadgen -scale smoke -seed 1 -csv -cross-shard-pct 50 -node-lps 1 > /tmp/sat-xp1.csv
-go run ./cmd/loadgen -scale smoke -seed 1 -csv -cross-shard-pct 50 -node-lps 2 > /tmp/sat-xp2.csv
-cmp /tmp/sat-xp1.csv /tmp/sat-xp2.csv
-go run ./cmd/loadgen -scale smoke -seed 1 -csv -cross-shard-pct 50 -node-lps 4 > /tmp/sat-xp4.csv
-cmp /tmp/sat-xp1.csv /tmp/sat-xp4.csv
-rm -f /tmp/sat-xp1.csv /tmp/sat-xp2.csv /tmp/sat-xp4.csv
+rm -f /tmp/sat-x1.csv /tmp/sat-x2.csv
 go run ./cmd/loadgen -scale smoke -seed 1 > /tmp/sat-smoke.txt
 skel saturation_full.txt > /tmp/sat-skel-full.txt
 skel /tmp/sat-smoke.txt > /tmp/sat-skel-smoke.txt

@@ -138,29 +138,48 @@ func AppendRecord(buf []byte, r *Record) []byte {
 // record and the number of bytes consumed. A zero length prefix (or
 // insufficient bytes) is treated as a clean ErrEndOfLog, since logs are
 // scanned out of zero-initialized media; anything structurally wrong is
-// ErrTornRecord.
+// ErrTornRecord. The returned record owns its File and Body: nothing in
+// it aliases data.
 func DecodeRecord(data []byte) (*Record, int, error) {
+	r := &Record{}
+	var name string
+	n, err := decode(r, &name, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	r.Body = append([]byte(nil), r.Body...)
+	return r, n, nil
+}
+
+// decode parses one frame from the front of data into r, which is left
+// partly overwritten when it returns an error. r.Body aliases data,
+// capped with a full slice expression so an append to it cannot
+// overwrite the next frame. A non-empty file name reuses *name when its
+// bytes match and otherwise replaces *name, so a stream that keeps
+// touching one file allocates that name once.
+//
+//simlint:hotpath
+func decode(r *Record, name *string, data []byte) (int, error) {
 	if len(data) < frameHeader {
-		return nil, 0, ErrEndOfLog
+		return 0, ErrEndOfLog
 	}
 	inner := binary.LittleEndian.Uint32(data)
 	if inner == 0 {
-		return nil, 0, ErrEndOfLog
+		return 0, ErrEndOfLog
 	}
 	// Smallest legal frame interior: fixed fields plus CRC, 29 bytes. The
 	// length comparison is done in uint64: int(inner) would go negative on
 	// 32-bit platforms for inner >= 2^31, slip past this check, and panic
 	// in the slice expression below.
 	if inner < 29 || uint64(inner) > uint64(len(data)-frameHeader) {
-		return nil, 0, ErrTornRecord
+		return 0, ErrTornRecord
 	}
 	payload := data[frameHeader : frameHeader+int(inner)-4]
 	crc := binary.LittleEndian.Uint32(data[frameHeader+int(inner)-4:])
 	if crc32.ChecksumIEEE(payload) != crc {
-		return nil, 0, ErrTornRecord
+		return 0, ErrTornRecord
 	}
 
-	r := &Record{}
 	pos := 0
 	r.Type = RecType(payload[pos])
 	pos++
@@ -169,12 +188,12 @@ func DecodeRecord(data []byte) (*Record, int, error) {
 	fl := int(binary.LittleEndian.Uint16(payload[pos:]))
 	pos += 2
 	if pos+fl > len(payload) {
-		return nil, 0, ErrTornRecord
+		return 0, ErrTornRecord
 	}
-	r.File = string(payload[pos : pos+fl])
+	file := payload[pos : pos+fl]
 	pos += fl
 	if pos+14 > len(payload) {
-		return nil, 0, ErrTornRecord
+		return 0, ErrTornRecord
 	}
 	r.Partition = binary.LittleEndian.Uint16(payload[pos:])
 	pos += 2
@@ -183,18 +202,27 @@ func DecodeRecord(data []byte) (*Record, int, error) {
 	bl := int(binary.LittleEndian.Uint32(payload[pos:]))
 	pos += 4
 	if pos+bl != len(payload) {
-		return nil, 0, ErrTornRecord
+		return 0, ErrTornRecord
 	}
-	r.Body = append([]byte(nil), payload[pos:pos+bl]...)
-	return r, frameHeader + int(inner), nil
+	r.File = ""
+	if fl > 0 {
+		if string(file) != *name {
+			*name = string(file)
+		}
+		r.File = *name
+	}
+	r.Body = payload[pos : pos+bl : pos+bl]
+	return frameHeader + int(inner), nil
 }
 
-// Scanner iterates the records of a log byte stream.
+// Scanner iterates the records of a log byte stream, decoding each frame
+// in place into one Record it owns.
 type Scanner struct {
 	data []byte
 	off  int
 	err  error
-	rec  *Record
+	rec  Record
+	name string // last non-empty file name decoded
 	lsn  LSN
 }
 
@@ -203,11 +231,13 @@ func NewScanner(data []byte) *Scanner { return &Scanner{data: data} }
 
 // Next advances to the next record, returning false at end of log or on a
 // torn record (check Err to distinguish).
+//
+//simlint:hotpath
 func (s *Scanner) Next() bool {
 	if s.err != nil {
 		return false
 	}
-	rec, n, err := DecodeRecord(s.data[s.off:])
+	n, err := decode(&s.rec, &s.name, s.data[s.off:])
 	if err != nil {
 		if !errors.Is(err, ErrEndOfLog) {
 			s.err = err
@@ -215,13 +245,15 @@ func (s *Scanner) Next() bool {
 		return false
 	}
 	s.lsn = LSN(s.off)
-	s.rec = rec
 	s.off += n
 	return true
 }
 
-// Record returns the current record.
-func (s *Scanner) Record() *Record { return s.rec }
+// Record returns the current record. It is a loan: the scanner decodes
+// the next record into the same Record, so it is valid only until the
+// next call to Next, and its Body aliases the scanned bytes. A caller
+// that keeps the record, or its Body, past that point must copy it.
+func (s *Scanner) Record() *Record { return &s.rec }
 
 // LSN returns the current record's log sequence number.
 func (s *Scanner) LSN() LSN { return s.lsn }

@@ -1005,8 +1005,13 @@ func (d *DP2) rebuildFromPM(ctx *cluster.PairCtx, st *dpState) {
 		rec := s.Record()
 		switch rec.Type {
 		case audit.RecInsert:
+			// The scanner lends Body out of img; a retained row owns a copy.
+			var body []byte
+			if d.cfg.RetainData {
+				body = append([]byte(nil), rec.Body...)
+			}
 			st.applyInsert(insertDelta{
-				txn: rec.Txn, key: rec.Key, body: rec.Body, blen: len(rec.Body),
+				txn: rec.Txn, key: rec.Key, body: body, blen: len(rec.Body),
 			}, d.cfg.RetainData)
 		case audit.RecCommit:
 			st.applyEnd(endDelta{txn: rec.Txn, commit: true})

@@ -22,6 +22,7 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"persistmem/internal/audit"
@@ -112,7 +113,29 @@ func (r *Rebuilt) Rows() int {
 type analysis struct {
 	outcome  map[audit.TxnID]uint8 // tmf.TCBCommitted / TCBAborted
 	prepared map[audit.TxnID]bool  // cross-shard prepare votes seen
-	data     []*audit.Record
+	// data holds the data records by value; their Bodies alias the
+	// stream buffers, which outlive the analysis.
+	data []audit.Record
+}
+
+// add folds one scanned record into the analysis.
+func (an *analysis) add(rec *audit.Record) {
+	switch rec.Type {
+	case audit.RecCommit:
+		an.outcome[rec.Txn] = tmf.TCBCommitted
+	case audit.RecAbort:
+		an.outcome[rec.Txn] = tmf.TCBAborted
+	case audit.RecPrepare:
+		an.prepared[rec.Txn] = true
+	case audit.RecOutcome:
+		// The coordinator's durable decision for a cross-shard
+		// transaction — authoritative over anything else seen so far.
+		if o, err := tmf.DecodeOutcome(rec.Body); err == nil {
+			an.outcome[rec.Txn] = o.State
+		}
+	case audit.RecInsert, audit.RecUpdate, audit.RecDelete:
+		an.data = append(an.data, *rec)
+	}
 }
 
 // scanStream walks one log stream's bytes, feeding records into the
@@ -122,23 +145,7 @@ func scanStream(p *sim.Proc, opts Options, data []byte, an *analysis, count *int
 	for s.Next() {
 		*count++
 		p.Wait(opts.CPUPerRecord)
-		rec := s.Record()
-		switch rec.Type {
-		case audit.RecCommit:
-			an.outcome[rec.Txn] = tmf.TCBCommitted
-		case audit.RecAbort:
-			an.outcome[rec.Txn] = tmf.TCBAborted
-		case audit.RecPrepare:
-			an.prepared[rec.Txn] = true
-		case audit.RecOutcome:
-			// The coordinator's durable decision for a cross-shard
-			// transaction — authoritative over anything else seen so far.
-			if o, err := tmf.DecodeOutcome(rec.Body); err == nil {
-				an.outcome[rec.Txn] = o.State
-			}
-		case audit.RecInsert, audit.RecUpdate, audit.RecDelete:
-			an.data = append(an.data, rec)
-		}
+		an.add(s.Record())
 	}
 }
 
@@ -170,12 +177,38 @@ func resolveInDoubt(an *analysis, rep *Report) {
 	}
 }
 
+// slabBytes is the size of the arenas redo copies committed bodies into.
+const slabBytes = 64 << 10
+
+// arena hands out copies of byte slices carved from shared slabs, so the
+// rebuilt image costs one allocation per slab instead of one per row.
+type arena struct{ slab []byte }
+
+// copy returns a copy of b capped with a full slice expression, so an
+// append to one row cannot overwrite its neighbour. An empty b copies to
+// nil.
+func (a *arena) copy(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	if len(b) > cap(a.slab)-len(a.slab) {
+		a.slab = make([]byte, 0, max(slabBytes, len(b)))
+	}
+	n := len(a.slab)
+	a.slab = append(a.slab, b...)
+	return a.slab[n:len(a.slab):len(a.slab)]
+}
+
 // redo applies committed data records to fresh trees, returning the set
-// of transactions that had data records.
+// of transactions that had data records. Committed bodies are copied out
+// of the stream buffers: an image aliasing them would keep every
+// replica's whole buffer alive for as long as the image lives.
 func redo(p *sim.Proc, opts Options, an *analysis, rep *Report) (*Rebuilt, map[audit.TxnID]bool) {
 	rb := &Rebuilt{Files: make(map[string]*btree.Tree[[]byte])}
 	seen := make(map[audit.TxnID]bool)
-	for _, rec := range an.data {
+	var bodies arena
+	for i := range an.data {
+		rec := &an.data[i]
 		p.Wait(opts.CPUPerRecord)
 		rep.RecordsScanned++
 		if an.outcome[rec.Txn] != tmf.TCBCommitted {
@@ -201,7 +234,7 @@ func redo(p *sim.Proc, opts Options, an *analysis, rep *Report) (*Rebuilt, map[a
 		if rec.Type == audit.RecDelete {
 			t.Delete(rec.Key)
 		} else {
-			t.Set(rec.Key, rec.Body)
+			t.Set(rec.Key, bodies.copy(rec.Body))
 			rep.RowsRedone++
 		}
 	}
@@ -220,11 +253,11 @@ func FromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options) (Report, *Rebui
 
 	streams := make([][]byte, 0, len(volumes))
 	for _, v := range volumes {
-		data, n, err := readDiskStream(p, v, opts)
+		data, _, err := readDiskStream(p, v, opts)
 		if err != nil {
 			return rep, nil, err
 		}
-		rep.BytesRead += n
+		rep.BytesRead += int64(len(data))
 		streams = append(streams, data)
 	}
 	// Pass 1: outcome discovery across every stream.
@@ -240,37 +273,45 @@ func FromDisk(p *sim.Proc, volumes []*disk.Volume, opts Options) (Report, *Rebui
 
 // readDiskStream reads a volume's log area until the scanner sees the end
 // of the trail.
-func readDiskStream(p *sim.Proc, v *disk.Volume, opts Options) ([]byte, int64, error) {
+func readDiskStream(p *sim.Proc, v *disk.Volume, opts Options) ([]byte, int, error) {
 	return readStream(v.Capacity(), opts, func(off int64, buf []byte) error {
 		return v.Read(p, off, buf)
 	})
 }
 
 // readStream incrementally reads a log area chunk by chunk, stopping once
-// the scanner finds the trail's end well inside what has been read.
-func readStream(capacity int64, opts Options, readChunk func(off int64, buf []byte) error) ([]byte, int64, error) {
+// the scanner finds the trail's end well inside what has been read. It
+// returns the bytes read and the length of their valid record prefix.
+//
+// Each chunk is read straight into the growing stream buffer, and the
+// end-of-trail check resumes at the last valid offset: a frame that
+// decoded in a shorter buffer decodes identically in a longer one, so
+// scanning only the new tail finds the same prefix a rescan from byte 0
+// would.
+func readStream(capacity int64, opts Options, readChunk func(off int64, buf []byte) error) ([]byte, int, error) {
 	var data []byte
 	var off int64
+	valid := 0
 	for off < capacity && off < opts.MaxLogBytes {
 		n := int64(opts.ChunkBytes)
 		if off+n > capacity {
 			n = capacity - off
 		}
-		buf := make([]byte, n)
-		if err := readChunk(off, buf); err != nil {
+		data = slices.Grow(data, int(n))[:off+n]
+		if err := readChunk(off, data[off:]); err != nil {
 			return nil, 0, fmt.Errorf("%w: %v", ErrNoLog, err)
 		}
-		data = append(data, buf...)
 		off += n
 		// Stop once the tail of what we have is clearly past the log end.
-		s := audit.NewScanner(data)
+		s := audit.NewScanner(data[valid:])
 		for s.Next() {
 		}
-		if s.Err() == nil && s.Offset() < len(data)-opts.ChunkBytes/2 {
+		valid += s.Offset()
+		if s.Err() == nil && valid < len(data)-opts.ChunkBytes/2 {
 			break
 		}
 	}
-	return data, off, nil
+	return data, valid, nil
 }
 
 // FromPM recovers from NPMU-resident log regions via the PM client
@@ -307,6 +348,7 @@ func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 		}
 		data, n, err := readLogReplicas(p, r, opts)
 		if err != nil {
+			r.Close(p)
 			return rep, nil, fmt.Errorf("%w: %s: %v", ErrNoLog, name, err)
 		}
 		rep.BytesRead += n
@@ -329,21 +371,7 @@ func FromPM(p *cluster.Process, vol *pmclient.Volume, logRegions []string, tcbRe
 	for _, data := range streams {
 		s := audit.NewScanner(data)
 		for s.Next() {
-			rec := s.Record()
-			switch rec.Type {
-			case audit.RecInsert, audit.RecUpdate, audit.RecDelete:
-				an.data = append(an.data, rec)
-			case audit.RecCommit:
-				an.outcome[rec.Txn] = tmf.TCBCommitted
-			case audit.RecAbort:
-				an.outcome[rec.Txn] = tmf.TCBAborted
-			case audit.RecPrepare:
-				an.prepared[rec.Txn] = true
-			case audit.RecOutcome:
-				if o, err := tmf.DecodeOutcome(rec.Body); err == nil {
-					an.outcome[rec.Txn] = o.State
-				}
-			}
+			an.add(s.Record())
 		}
 	}
 	resolveInDoubt(an, &rep)
@@ -378,7 +406,7 @@ func readLogReplicas(p *cluster.Process, r *pmclient.Region, opts Options) ([]by
 	var total int64
 	var firstErr error
 	for rep := 0; rep < r.Replicas(); rep++ {
-		data, n, err := readStream(r.Size(), opts, func(off int64, buf []byte) error {
+		data, valid, err := readStream(r.Size(), opts, func(off int64, buf []byte) error {
 			return r.ReadReplica(p, rep, off, buf)
 		})
 		if err != nil {
@@ -387,12 +415,9 @@ func readLogReplicas(p *cluster.Process, r *pmclient.Region, opts Options) ([]by
 			}
 			continue
 		}
-		total += n
-		s := audit.NewScanner(data)
-		for s.Next() {
-		}
-		if s.Offset() > bestValid {
-			bestValid, best = s.Offset(), data
+		total += int64(len(data))
+		if valid > bestValid {
+			bestValid, best = valid, data
 		}
 	}
 	if best == nil {

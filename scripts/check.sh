@@ -29,6 +29,13 @@ rm -f /tmp/persistmem-cover.out
 # 10-minute per-package default.
 go test -race -timeout 20m ./...
 
+# Bounded fuzz smoke: the audit decoder's and the recovery read path's
+# native fuzz targets each run 10 s past their seed corpus (go test takes
+# one -fuzz target per invocation).
+go test -run '^$' -fuzz '^FuzzScanner$' -fuzztime 10s ./internal/audit
+go test -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s ./internal/audit
+go test -run '^$' -fuzz '^FuzzReadStream$' -fuzztime 10s ./internal/recovery
+
 # Kernel perf gate: re-measure scheduler ns/event and data-plane
 # allocs/txn and fail on >20% regression against the committed baseline.
 go run ./cmd/simbench -compare BENCH_kernel.json
